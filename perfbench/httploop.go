@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -32,15 +31,14 @@ type httpRun struct {
 	queryOf  []string  // name of each measured read
 	updateMs []float64 // measured updates (read-write)
 	ckptMs   []float64 // measured checkpoints (read-write)
-	busyS    float64   // summed latency of measured reads and updates
-	ops      int       // measured reads and updates
+	busyS    float64   // summed latency of measured requests
+	ops      int       // measured requests: reads, updates and checkpoints
 	blockRPS []float64 // per block of measured work: ops / summed latency
 
 	blockOps   int
 	blockBusyS float64
 
-	peakRSSMB             float64 // VmHWM of the measured boot, read after the loop
-	storeBytesPerUserByte float64
+	peakRSSMB float64 // VmHWM of the measured boot, read after the loop
 
 	// From each measured read's response meta.
 	serverTotalMs, serializeMs, outsideMs, respBytes []float64
@@ -52,8 +50,9 @@ type httpRun struct {
 }
 
 // endBlock closes a block of measured work (a warm pass, novelBlock novel
-// queries, rwBlock read-write cycles). throughput_rps is the median block
-// rate, so one stall on the shared machine moves one block, not the run.
+// queries, checkpointEvery read-write cycles and their checkpoint).
+// throughput_rps is the median block rate, so one stall on the shared
+// machine moves one block, not the run.
 func (r *httpRun) endBlock() {
 	if n := r.ops - r.blockOps; n > 0 {
 		r.blockRPS = append(r.blockRPS, float64(n)/(r.busyS-r.blockBusyS))
@@ -61,11 +60,8 @@ func (r *httpRun) endBlock() {
 	r.blockOps, r.blockBusyS = r.ops, r.busyS
 }
 
-// Block sizes for throughput_rps.
-const (
-	novelBlock = 10
-	rwBlock    = 5
-)
+// novelBlock is the number of novel queries per throughput_rps block.
+const novelBlock = 10
 
 func (r *httpRun) fail(format string, args ...any) {
 	r.failed++
@@ -354,23 +350,10 @@ func (d *httpLoad) checkpoint(s *session, measured bool) error {
 	}
 	if measured {
 		d.run.ckptMs = append(d.run.ckptMs, float64(lat)/float64(time.Millisecond))
+		d.run.busyS += lat.Seconds()
+		d.run.ops++
 	}
 	return nil
-}
-
-func dirBytes(dir string) (int64, error) {
-	var n int64
-	err := filepath.WalkDir(dir, func(_ string, e fs.DirEntry, err error) error {
-		if err != nil || e.IsDir() {
-			return err
-		}
-		fi, err := e.Info()
-		if err == nil {
-			n += fi.Size()
-		}
-		return err
-	})
-	return n, err
 }
 
 // writeRun drives read-write: fresh-dir boots, the measured update/read
@@ -403,18 +386,17 @@ func (d *httpLoad) writeRun() error {
 	}
 	i := deleteLag
 	err := func() error {
+		// Whole blocks only: checkpointEvery cycles, then a checkpoint.
 		err := d.measure(func() error {
-			if err := d.cycle(s, i, true); err != nil {
+			for k := 0; k < checkpointEvery; k, i = k+1, i+1 {
+				if err := d.cycle(s, i, true); err != nil {
+					return err
+				}
+			}
+			if err := d.checkpoint(s, true); err != nil {
 				return err
 			}
-			i++
-			n := i - deleteLag
-			if n%rwBlock == 0 {
-				d.endBlock()
-			}
-			if n%checkpointEvery == 0 {
-				return d.checkpoint(s, true)
-			}
+			d.endBlock()
 			return nil
 		})
 		if err != nil {
@@ -426,18 +408,6 @@ func (d *httpLoad) writeRun() error {
 		if err := d.checkpoint(s, false); err != nil {
 			return err
 		}
-		stored, err := dirBytes(dir)
-		if err != nil {
-			return err
-		}
-		status, dump, _, err := s.cl.do(d.ctx, http.MethodGet, "/v1/dump", nil)
-		if err != nil {
-			return err
-		}
-		if status != http.StatusOK || len(dump) == 0 {
-			return fmt.Errorf("dump: status %d", status)
-		}
-		d.run.storeBytesPerUserByte = float64(stored) / float64(len(dump))
 		for t := 0; t < tailCycles; t, i = t+1, i+1 {
 			if err := d.cycle(s, i, false); err != nil {
 				return err

@@ -229,7 +229,6 @@ func writeReport(w workload, run *httpRun) map[string]metric {
 		m["update_p95_ms"] = metric{quantile(run.updateMs, 0.95), "ms"}
 		m["update_samples"] = metric{float64(len(run.updateMs)), "count"}
 		m["checkpoint_p50_ms"] = metric{median(run.ckptMs), "ms"}
-		m["store_bytes_per_user_byte"] = metric{run.storeBytesPerUserByte, "ratio"}
 	}
 	return m
 }

@@ -3,10 +3,10 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"container/list"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/dict"
 	"repro/internal/durable"
 	"repro/internal/engine"
@@ -27,8 +26,6 @@ import (
 	"repro/internal/query"
 	"repro/internal/rdf"
 	"repro/internal/saturation"
-	"repro/internal/stats"
-	"repro/internal/storage"
 	"repro/internal/trace"
 	"repro/internal/viewcache"
 )
@@ -63,10 +60,11 @@ type recorder struct {
 
 // Root span names. Only "request" roots count as request time.
 const (
-	rootRequest  = "request"
-	rootBoot     = "boot"
-	rootRecovery = "recovery"
-	rootProbe    = "probe"
+	rootRequest    = "request"
+	rootBoot       = "boot"
+	rootCheckpoint = "checkpoint"
+	rootRecovery   = "recovery"
+	rootProbe      = "probe"
 )
 
 func (r *recorder) begin(name string) int32 {
@@ -93,6 +91,24 @@ func (r *recorder) end(i int32) {
 	r.open = r.open[:len(r.open)-1]
 }
 
+// graft records the phases of an engine answer (the children of the
+// tracer's "answer" root) as children of span parent, named by name. The
+// engine's tracer keeps durations, not start times, so the phases are
+// laid out back to back from the parent's start.
+func (r *recorder) graft(parent int32, root *trace.Span, name func(string, []trace.Attr) string) {
+	if parent < 0 {
+		return
+	}
+	at := r.spans[parent].Start
+	root.Visit(func(n string, depth int, dur time.Duration, attrs []trace.Attr) {
+		if depth != 1 {
+			return
+		}
+		r.spans = append(r.spans, span{Name: name(n, attrs), Start: at, End: at + int64(dur), Parent: parent, Req: r.spans[parent].Req})
+		at += int64(dur)
+	})
+}
+
 // do records fn as one span.
 func (r *recorder) do(name string, fn func()) {
 	i := r.begin(name)
@@ -100,70 +116,34 @@ func (r *recorder) do(name string, fn func()) {
 	r.end(i)
 }
 
-// planEntry and planLRU mirror the engine's GCov plan cache: keyed by the
-// formatted query, 128 entries, least recently used evicted.
-type planEntry struct {
-	key  string
-	jucq query.JUCQ
-	keys []string // view-cache signatures of the fragments
-}
-
-type planLRU struct {
-	order *list.List
-	byKey map[string]*list.Element
-}
-
-const planCacheSize = 128
-
-func newPlanLRU() *planLRU { return &planLRU{order: list.New(), byKey: map[string]*list.Element{}} }
-
-func (c *planLRU) get(key string) (*planEntry, bool) {
-	el, ok := c.byKey[key]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*planEntry), true
-}
-
-func (c *planLRU) put(e *planEntry) {
-	c.byKey[e.key] = c.order.PushFront(e)
-	for c.order.Len() > planCacheSize {
-		old := c.order.Back()
-		c.order.Remove(old)
-		delete(c.byKey, old.Value.(*planEntry).key)
-	}
-}
-
 // tally counts work in traced requests only.
 type tally struct {
 	gcovCalls, coversExplored int
 	reads, reformCQs, rowsOut int
-	viewHits, viewLookups     int64
+	viewHits, fragments       int
 	updates, fsyncs           int
 	walBytes, userBytes       int64
 	recoveries, replayed      int
 	storeBytes, liveBytes     int64
 }
 
-// replica holds the state refserve keeps for one graph, built and
-// refreshed through the same public functions.
+// replica is refserve's engine for one graph, warmed and answering
+// through the engine's public methods, plus the durable manager of
+// read-write.
 type replica struct {
-	rec        *recorder
-	reg        *metrics.Registry
-	g          *graph.Graph
-	store      *storage.Store
-	st         *stats.Stats
-	model      *cost.Model
-	ref        *core.Reformulator
-	rangeRef   *core.RangeReformulator
-	views      *viewcache.Cache
-	plans      *planLRU
-	maintained *saturation.Maintained
-	mgr        *durable.Manager
-	probes     []probe
-	t          tally
-	enc        bytes.Buffer
+	rec *recorder
+	reg *metrics.Registry
+	eng *engine.Engine
+	// stale is set once an update has dropped the engine's store,
+	// statistics and cost model: from then on every request's engine
+	// copy rebuilds them, as refserve's do.
+	stale   bool
+	mgr     *durable.Manager
+	shadow  *shadow
+	probes  []probe
+	updates []dataUpdate // applied to the shadow after the request
+	t       tally
+	enc     bytes.Buffer
 }
 
 // probe is a GCov outcome whose adopted cover is re-reformulated alone
@@ -175,11 +155,64 @@ type probe struct {
 	cover query.Cover
 }
 
+// dataUpdate is one /v1/update's deleted and inserted triples.
+type dataUpdate struct{ del, ins []rdf.Triple }
+
+// shadow replays read-write's updates on a graph and counting closure of
+// its own. engine.InsertData and DeleteData change the graph and then
+// maintain the closure with no span between the two, so the replay times
+// graph.add_data, graph.remove_data and saturation.maintain on this
+// identical copy, outside the request.
+type shadow struct {
+	g *graph.Graph
+	m *saturation.Maintained
+}
+
+func (s *shadow) apply(rec *recorder, u dataUpdate) error {
+	root := rec.begin(rootProbe)
+	defer rec.end(root)
+	if s.m == nil {
+		// The engine builds its closure on the pre-update data.
+		s.m = saturation.NewMaintained(s.g)
+	}
+	var err error
+	if len(u.del) > 0 {
+		rec.do("graph.remove_data", func() { _, err = s.g.RemoveData(u.del) })
+		if err != nil {
+			return err
+		}
+		enc := encodeTriples(s.g, u.del)
+		rec.do("saturation.maintain", func() {
+			s.m.Delete(enc)
+			s.m.Triples()
+		})
+	}
+	rec.do("graph.add_data", func() { err = s.g.AddData(u.ins) })
+	if err != nil {
+		return err
+	}
+	enc := encodeTriples(s.g, u.ins)
+	rec.do("saturation.maintain", func() {
+		s.m.Insert(enc)
+		s.m.Triples()
+	})
+	return nil
+}
+
+func encodeTriples(g *graph.Graph, ts []rdf.Triple) []dict.Triple {
+	enc := make([]dict.Triple, 0, len(ts))
+	for _, t := range ts {
+		enc = append(enc, g.Dict().EncodeTriple(t))
+	}
+	return enc
+}
+
 // boot mirrors refserve's start: generate LUBM(1) (after recovering an
 // empty data dir and before seeding it, for read-write), then the eager
-// warm-up of httpapi.NewWithOptions.
+// warm-up of httpapi.NewWithOptions, one span per structure, and the
+// view cache refserve enables by default.
 func boot(rec *recorder, w workload, dir string) (*replica, error) {
-	r := &replica{rec: rec, reg: metrics.NewRegistry(), plans: newPlanLRU()}
+	r := &replica{rec: rec, reg: metrics.NewRegistry()}
 	root := rec.begin(rootBoot)
 	defer rec.end(root)
 	var err error
@@ -194,29 +227,40 @@ func boot(rec *recorder, w workload, dir string) (*replica, error) {
 			return nil, err
 		}
 	}
-	var ts []rdf.Triple
+	var (
+		ts []rdf.Triple
+		g  *graph.Graph
+	)
 	rec.do("lubm.generate", func() { ts = append(lubm.OntologyTriples(), lubm.Generate(lubmProfile(), dataSeed)...) })
-	rec.do("graph.from_triples", func() { r.g, err = graph.FromTriples(ts) })
+	rec.do("graph.from_triples", func() { g, err = graph.FromTriples(ts) })
 	if err != nil {
 		return nil, err
 	}
 	if w.writes {
-		rec.do("durable.checkpoint", func() { err = r.mgr.Checkpoint(r.g) })
+		rec.do("durable.checkpoint", func() { err = r.mgr.Checkpoint(g) })
 		if err != nil {
 			return nil, err
 		}
+		sg, err := graph.FromTriples(ts)
+		if err != nil {
+			return nil, err
+		}
+		r.shadow = &shadow{g: sg}
 	}
-	r.costModel()
-	var sat *saturation.Result
-	rec.do("saturation.saturate", func() { sat = saturation.Saturate(r.g) })
-	var satStore *storage.Store
-	rec.do("storage.build_sat", func() { satStore = storage.Build(r.g.Dict(), sat.Triples) })
-	rec.do("stats.collect_sat", func() { stats.Collect(satStore) })
+	r.eng = engine.New(g)
+	r.eng.Metrics = r.reg
+	r.eng.CaptureFragmentSigs = true
+	rec.do("storage.build", func() { r.eng.Source() })
+	rec.do("stats.collect", func() { r.eng.Stats() })
+	rec.do("saturation.saturate", func() { r.eng.Saturation() })
+	rec.do("storage.build_sat", func() { r.eng.SatStore() })
+	rec.do("stats.collect_sat", func() { r.eng.SatStats() })
 	rec.do("core.reformulator_build", func() {
-		r.ref = core.NewReformulator(r.g.Schema())
-		core.NewIncompleteReformulator(r.g.Schema())
+		r.eng.Reformulator()
+		r.eng.IncompleteReformulator()
 	})
-	r.views = viewcache.New(viewcache.Config{MaxBytes: 64 << 20, Metrics: r.reg})
+	rec.do("cost.model_build", func() { r.eng.CostModel() })
+	r.eng.EnableViewCache(viewcache.Config{MaxBytes: 64 << 20})
 	return r, nil
 }
 
@@ -238,142 +282,85 @@ func (r *replica) recover(mgr *durable.Manager, suffix string) (*graph.Graph, in
 	return eng.Graph(), st.Records, err
 }
 
-// costModel (re)builds the store, statistics and cost model the engine
-// drops after every update.
-func (r *replica) costModel() {
-	if r.store == nil {
-		r.rec.do("storage.build", func() { r.store = storage.Build(r.g.Dict(), r.g.AllTriples()) })
-	}
-	if r.st == nil {
-		r.rec.do("stats.collect", func() { r.st = stats.Collect(r.store) })
-	}
-	if r.model == nil {
-		r.rec.do("cost.model_build", func() {
-			r.model = cost.NewModel(r.st)
-			r.model.SetShards(1)
-		})
-	}
-}
-
 // read answers one query as refserve's /v1/query does and returns the
 // rows, which the caller checks outside the request.
-func (r *replica) read(ctx context.Context, rd read, strategy string) (*exec.Relation, error) {
+func (r *replica) read(ctx context.Context, rd read, strategy engine.Strategy) (*exec.Relation, error) {
 	var (
 		q   query.CQ
 		err error
 	)
-	r.rec.do("query.parse", func() { q, err = query.ParseRuleWithPrefixes(r.g.Dict(), prefixes, rd.text) })
+	r.rec.do("query.parse", func() { q, err = query.ParseRuleWithPrefixes(r.eng.Graph().Dict(), prefixes, rd.text) })
 	if err != nil {
 		return nil, err
 	}
-	// refserve traces every request and hands the evaluator its eval
-	// span; the replica does the same so exec does the same work.
-	tr := trace.New(0)
-	qs := tr.StartSpan("query")
-	defer qs.End()
-	var rows *exec.Relation
-	if strategy == "ref-range" {
-		rows, err = r.answerRange(ctx, q, qs)
-	} else {
-		rows, err = r.answerGCov(ctx, q, qs)
+	// Like /v1/query, answer on a shallow copy of the engine with its own
+	// tracer; the copy shares the plan and view caches.
+	eng := *r.eng
+	eng.Budget = exec.Budget{Timeout: 30 * time.Second}
+	eng.Tracer = trace.New(0)
+	if r.stale {
+		// The answer would build these lazily, the cost model inside its
+		// "plan" span; building them first keeps them out of core.gcov.
+		r.rec.do("storage.build", func() { eng.Source() })
+		r.rec.do("stats.collect", func() { eng.Stats() })
+		r.rec.do("cost.model_build", func() { eng.CostModel() })
 	}
+	var ans *engine.Answer
+	i := r.rec.begin("engine.answer")
+	ans, err = eng.AnswerContext(ctx, q, strategy)
+	r.rec.end(i)
 	if err != nil {
 		return nil, err
 	}
-	r.rec.do("httpapi.encode", func() { r.encode(rows) })
+	r.rec.graft(i, eng.Tracer.Root(), phaseName(strategy))
+	r.rec.do("httpapi.encode", func() { r.encode(ans.Rows) })
 	if r.rec.on {
 		r.t.reads++
-		r.t.rowsOut += rows.Len()
-	}
-	return rows, nil
-}
-
-func (r *replica) evaluator(qs *trace.Span, ss *stats.Stats) (*exec.Evaluator, *trace.Span) {
-	ev := exec.New(r.store, ss)
-	ev.Budget = exec.Budget{Timeout: 30 * time.Second}
-	ev.Metrics = r.reg
-	es := qs.Child("eval")
-	ev.Span, ev.Cost = es, r.model
-	return ev, es
-}
-
-func (r *replica) answerGCov(ctx context.Context, q query.CQ, qs *trace.Span) (*exec.Relation, error) {
-	var (
-		e   *planEntry
-		hit bool
-		err error
-	)
-	r.rec.do("engine.plan_lookup", func() {
-		key := query.FormatCQ(r.g.Dict(), q)
-		if e, hit = r.plans.get(key); !hit {
-			e = &planEntry{key: key}
-		}
-	})
-	if !hit {
-		r.costModel()
-		var res *core.GCovResult
-		r.rec.do("core.gcov", func() {
-			res, err = core.GCov(r.ref, r.model, q, core.GCovOptions{MaxFragmentCQs: core.DefaultMaxFragmentCQs})
-		})
-		if err != nil {
-			return nil, err
-		}
-		r.rec.do("viewcache.signature", func() {
-			for _, f := range res.JUCQ.Fragments {
-				e.keys = append(e.keys, viewcache.Signature(f.UCQ))
+		r.t.rowsOut += ans.Rows.Len()
+		r.t.reformCQs += ans.ReformulationCQs
+		if strategy == engine.RefGCov {
+			r.t.fragments += len(ans.Cover)
+			r.t.viewHits += ans.CachedFragments
+			if !ans.CachedPlan {
+				r.t.gcovCalls++
+				r.t.coversExplored += len(ans.Explored)
+				r.probes = append(r.probes, probe{q: q, cover: ans.Cover})
 			}
-		})
-		e.jucq = res.JUCQ
-		r.plans.put(e)
-		if r.rec.on {
-			r.t.gcovCalls++
-			r.t.coversExplored += len(res.Explored)
-			r.probes = append(r.probes, probe{q: q, cover: res.Cover})
 		}
 	}
-	r.costModel()
-	ev, es := r.evaluator(qs, r.st)
-	defer es.End()
-	cs := &exec.CacheStats{}
-	ev.FragCache, ev.CacheStats, ev.FragKeys = r.views, cs, e.keys
-	var rows *exec.Relation
-	r.rec.do("exec.eval_jucq", func() { rows, err = ev.EvalJUCQContext(ctx, e.jucq) })
-	if r.rec.on {
-		for _, f := range e.jucq.Fragments {
-			r.t.reformCQs += len(f.UCQ.CQs)
-		}
-		r.t.viewHits += cs.Hits.Load()
-		r.t.viewLookups += cs.Hits.Load() + cs.Misses.Load() + cs.Shared.Load()
-	}
-	return rows, err
+	return ans.Rows, nil
 }
 
-func (r *replica) answerRange(ctx context.Context, q query.CQ, qs *trace.Span) (*exec.Relation, error) {
-	if r.rangeRef == nil {
-		r.rec.do("core.range_reformulator_build", func() { r.rangeRef = core.NewRangeReformulator(r.g.Schema()) })
+// phaseName names the engine's phase spans by the layer doing their
+// work: a "plan" that missed the plan cache is GCov's cover search
+// (reformulation and fragment signatures included), one that hit is the
+// engine's lookup.
+func phaseName(s engine.Strategy) func(string, []trace.Attr) string {
+	return func(name string, attrs []trace.Attr) string {
+		switch name {
+		case "plan":
+			for _, a := range attrs {
+				if a.Key == "cached" && a.Number() == 1 {
+					return "engine.plan_cache"
+				}
+			}
+			return "core.gcov"
+		case "reformulate":
+			return "core.range_reformulate"
+		case "eval":
+			if s == engine.RefRange {
+				return "exec.eval_range"
+			}
+			return "exec.eval_jucq"
+		}
+		return "engine." + name
 	}
-	var ru query.RangeUCQ
-	r.rec.do("core.range_reformulate", func() { ru = r.rangeRef.Reformulate(q) })
-	// A traced refserve request prices the range union (engine/range.go).
-	r.costModel()
-	r.rec.do("cost.range_estimate", func() { r.model.RangeUCQ(ru) })
-	ev, es := r.evaluator(qs, nil)
-	defer es.End()
-	var (
-		rows *exec.Relation
-		err  error
-	)
-	r.rec.do("exec.eval_range", func() { rows, err = ev.EvalRangeUCQContext(ctx, ru) })
-	if r.rec.on {
-		r.t.reformCQs += len(ru.CQs)
-	}
-	return rows, err
 }
 
 // encode renders the response body as /v1/query does: rows sorted,
 // decoded and written as indented JSON.
 func (r *replica) encode(rows *exec.Relation) {
-	d := r.g.Dict()
+	d := r.eng.Graph().Dict()
 	rows.SortRows()
 	n := min(rows.Len(), 10000)
 	resp := httpapi.QueryResponse{Columns: rows.Vars, Total: rows.Len(), Truncated: rows.Len() > n}
@@ -392,44 +379,29 @@ func (r *replica) encode(rows *exec.Relation) {
 	_ = enc.Encode(resp) // encoding into a buffer cannot fail
 }
 
-// runProbes times core.reformulate_jucq for the GCov outcomes collected
-// since the last call, each as its own probe root.
+// runProbes runs what the last request left for outside it, each as its
+// own probe root: core.reformulate_jucq for its GCov outcomes and the
+// shadow's copy of its update.
 func (r *replica) runProbes() error {
 	for _, p := range r.probes {
 		var err error
 		root := r.rec.begin(rootProbe)
-		r.rec.do("core.reformulate_jucq", func() { _, err = r.ref.ReformulateJUCQ(p.q, p.cover, core.DefaultMaxFragmentCQs) })
+		r.rec.do("core.reformulate_jucq", func() {
+			_, err = r.eng.Reformulator().ReformulateJUCQ(p.q, p.cover, core.DefaultMaxFragmentCQs)
+		})
 		r.rec.end(root)
 		if err != nil {
 			return err
 		}
 	}
 	r.probes = r.probes[:0]
+	for _, u := range r.updates {
+		if err := r.shadow.apply(r.rec, u); err != nil {
+			return err
+		}
+	}
+	r.updates = r.updates[:0]
 	return nil
-}
-
-// maintainedClosure builds the counting closure on first update, before
-// the update applies, as the engine does.
-func (r *replica) maintainedClosure() *saturation.Maintained {
-	if r.maintained == nil {
-		r.rec.do("saturation.maintained_build", func() { r.maintained = saturation.NewMaintained(r.g) })
-	}
-	return r.maintained
-}
-
-func (r *replica) encodeTriples(ts []rdf.Triple) []dict.Triple {
-	enc := make([]dict.Triple, 0, len(ts))
-	for _, t := range ts {
-		enc = append(enc, r.g.Dict().EncodeTriple(t))
-	}
-	return enc
-}
-
-// invalidate drops what the engine drops after a data update.
-func (r *replica) invalidate() {
-	r.store, r.st, r.model = nil, nil, nil
-	r.plans = newPlanLRU()
-	r.views.Invalidate()
 }
 
 // update applies cycle i's update as /v1/update does: parse, delete then
@@ -457,40 +429,19 @@ func (r *replica) update(gen rwGen, i int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	m := r.maintainedClosure()
 	if len(dts) > 0 {
-		r.rec.do("engine.delete", func() {
-			r.rec.do("graph.remove_data", func() { removed, err = r.g.RemoveData(dts) })
-			if err != nil {
-				return
-			}
-			enc := r.encodeTriples(dts)
-			r.rec.do("saturation.maintain", func() {
-				m.Delete(enc)
-				m.Triples()
-			})
-			r.invalidate()
-		})
+		r.rec.do("engine.delete", func() { removed, err = r.eng.DeleteData(dts) })
 		if err != nil {
 			return 0, err
 		}
 		r.rec.do("durable.append", func() { acks = append(acks, r.mgr.Stage(durable.Record{Op: durable.OpDelete, Triples: dts})) })
 	}
-	r.rec.do("engine.insert", func() {
-		r.rec.do("graph.add_data", func() { err = r.g.AddData(its) })
-		if err != nil {
-			return
-		}
-		enc := r.encodeTriples(its)
-		r.rec.do("saturation.maintain", func() {
-			m.Insert(enc)
-			m.Triples()
-		})
-		r.invalidate()
-	})
+	r.rec.do("engine.insert", func() { err = r.eng.InsertData(its) })
 	if err != nil {
 		return 0, err
 	}
+	r.stale = true
+	r.updates = append(r.updates, dataUpdate{del: dts, ins: its})
 	r.rec.do("durable.append", func() {
 		acks = append(acks, r.mgr.Stage(durable.Record{Op: durable.OpInsert, Triples: its}))
 		for _, a := range acks {
@@ -563,13 +514,13 @@ func (p *replayer) request(fn func() error) error {
 func (p *replayer) read(rd read, want rowHash) error {
 	var rows *exec.Relation
 	err := p.request(func() (err error) {
-		rows, err = p.r.read(p.ctx, rd, p.w.strategy)
+		rows, err = p.r.read(p.ctx, rd, engine.Strategy(p.w.strategy))
 		return err
 	})
 	if err != nil {
 		return err
 	}
-	p.out.check(rd.name, hashRelation(p.r.g.Dict(), rows), want)
+	p.out.check(rd.name, hashRelation(p.r.eng.Graph().Dict(), rows), want)
 	return p.r.runProbes()
 }
 
@@ -630,8 +581,7 @@ func runTraced(ctx context.Context, w workload, seed int64, orc oracle, seconds 
 			if err := p.cycle(d.rw, d.liveHash, deleteLag+n); err != nil {
 				return err
 			}
-			// Every checkpointEvery cycles, on a traced unit.
-			if (n+2)%checkpointEvery == 0 {
+			if (n+1)%checkpointEvery == 0 {
 				return p.checkpoint()
 			}
 			return nil
@@ -685,13 +635,17 @@ func runTraced(ctx context.Context, w workload, seed int64, orc oracle, seconds 
 	return p.out, writeSpans(filepath.Join(outDir, "spans.jsonl"), rec.spans)
 }
 
-// checkpoint runs an admin checkpoint as its own request, left out of
-// the overhead samples (it runs on traced units only).
+// checkpoint runs an admin checkpoint under a root of its own, so that
+// request time and the layer shares cover updates and reads only. It is
+// recorded even on untraced units.
 func (p *replayer) checkpoint() error {
+	on := p.rec.on
+	p.rec.on = true
 	var err error
-	root := p.rec.begin(rootRequest)
-	p.rec.do("durable.checkpoint", func() { err = p.r.mgr.Checkpoint(p.r.g) })
+	root := p.rec.begin(rootCheckpoint)
+	p.rec.do("durable.checkpoint", func() { err = p.r.mgr.Checkpoint(p.r.eng.Graph()) })
 	p.rec.end(root)
+	p.rec.on = on
 	return err
 }
 
@@ -708,8 +662,9 @@ func (p *replayer) recoverAll(d *httpLoad, next int) error {
 	}
 	var nt bytes.Buffer
 	sw := ntriples.NewWriter(&nt)
-	for _, t := range p.r.g.AllTriples() {
-		if err := sw.WriteTriple(p.r.g.Dict().DecodeTriple(t)); err != nil {
+	g := p.r.eng.Graph()
+	for _, t := range g.AllTriples() {
+		if err := sw.WriteTriple(g.Dict().DecodeTriple(t)); err != nil {
 			return err
 		}
 	}
@@ -761,6 +716,21 @@ func (p *replayer) recoverAll(d *httpLoad, next int) error {
 
 // recoveries is the number of in-process recoveries per traced run.
 const recoveries = 3
+
+func dirBytes(dir string) (int64, error) {
+	var n int64
+	err := filepath.WalkDir(dir, func(_ string, e fs.DirEntry, err error) error {
+		if err != nil || e.IsDir() {
+			return err
+		}
+		fi, err := e.Info()
+		if err == nil {
+			n += fi.Size()
+		}
+		return err
+	})
+	return n, err
+}
 
 func writeSpans(path string, spans []span) error {
 	f, err := os.Create(path)
@@ -839,9 +809,11 @@ func (ru rollup) perCallMs(name string) float64 {
 	return ratio(ru.callNs[name], float64(ru.callReqs[name])) / 1e6
 }
 
-// layers are the repository's modules the replay records spans for.
-var layers = []string{"bench", "query", "engine", "core", "cost", "exec", "viewcache", "httpapi",
-	"storage", "stats", "graph", "saturation", "ntriples", "durable"}
+// layers are the repository's modules that do work inside the replay's
+// requests. graph and saturation work there happens inside engine.insert
+// and engine.delete, and view-cache work inside the engine's phases.
+var layers = []string{"bench", "query", "engine", "core", "cost", "exec", "httpapi",
+	"storage", "stats", "ntriples", "durable"}
 
 // layerMetrics assembles the per-layer metrics of a --trace 1 run: the
 // httpapi and plan-cache figures come from the HTTP run's response meta,
@@ -862,7 +834,7 @@ func layerMetrics(run *httpRun, tr *tracedRun) map[string]metric {
 	m["core.gcov_covers_explored"] = metric{ratio(float64(t.coversExplored), float64(t.gcovCalls)), "count"}
 	m["core.reformulation_cqs"] = metric{ratio(float64(t.reformCQs), float64(t.reads)), "count"}
 	m["exec.rows_out"] = metric{ratio(float64(t.rowsOut), float64(t.reads)), "count"}
-	m["viewcache.hit_ratio"] = metric{ratio(float64(t.viewHits), float64(t.viewLookups)), "ratio"}
+	m["viewcache.hit_ratio"] = metric{ratio(float64(t.viewHits), float64(t.fragments)), "ratio"}
 	m["engine.plan_cache_hit_ratio"] = metric{ratio(float64(run.cachedPlans), float64(run.gcovReads)), "ratio"}
 	m["httpapi.server_total_ms"] = metric{mean(run.serverTotalMs), "ms"}
 	m["httpapi.serialize_ms"] = metric{mean(run.serializeMs), "ms"}

@@ -195,7 +195,7 @@ func (g *novelGen) text(u int) read {
 const (
 	batchPersons    = 20 // persons inserted per update
 	deleteLag       = 4  // cycle i deletes the batch of cycle i-deleteLag
-	checkpointEvery = 10 // measured cycles between admin checkpoints
+	checkpointEvery = 5  // measured cycles between admin checkpoints
 	tailCycles      = 5  // updates left in the WAL tail before restarts
 )
 
