@@ -7,6 +7,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -259,7 +260,7 @@ func BenchmarkExec_HashJoinChain(b *testing.B) {
 	ev := exec.New(f.eng.Store(), f.eng.Stats())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ev.EvalCQ(query.HeadVarNames(q), q); err != nil {
+		if _, err := ev.EvalCQ(context.Background(), query.HeadVarNames(q), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -330,7 +331,7 @@ func BenchmarkAblation_GCovCover_Default(b *testing.B) {
 	ev := exec.New(f.eng.Store(), f.eng.Stats())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ev.EvalJUCQ(res.JUCQ); err != nil {
+		if _, err := ev.EvalJUCQ(context.Background(), res.JUCQ); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -346,7 +347,7 @@ func BenchmarkAblation_GCovCover_ForceHashJoins(b *testing.B) {
 	ev.ForceHashJoins = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ev.EvalJUCQ(res.JUCQ); err != nil {
+		if _, err := ev.EvalJUCQ(context.Background(), res.JUCQ); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -366,9 +367,10 @@ func BenchmarkAblation_ExhaustiveCov(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_ParallelUCQ measures parallel union evaluation against
-// the serial default on a mid-size reformulation (LUBM Q6's UCQ).
-func benchQ6UCQ(b *testing.B, parallel bool) {
+// BenchmarkAblation_UCQSerial measures central union evaluation on a
+// mid-size reformulation (LUBM Q6's UCQ). Parallel evaluation is scatter
+// over shards, measured by E13.
+func BenchmarkAblation_UCQSerial(b *testing.B) {
 	f, _ := fixtures(b)
 	qs, err := lubm.ParseQueries(f.g.Dict(), 0, 0)
 	if err != nil {
@@ -376,17 +378,13 @@ func benchQ6UCQ(b *testing.B, parallel bool) {
 	}
 	u := f.eng.Reformulator().ReformulateCQ(qs[5].CQ) // Q6: all Students
 	ev := exec.New(f.eng.Store(), f.eng.Stats())
-	ev.Parallel = parallel
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ev.EvalUCQ(u); err != nil {
+		if _, err := ev.EvalUCQ(context.Background(), u); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-func BenchmarkAblation_UCQSerial(b *testing.B)   { benchQ6UCQ(b, false) }
-func BenchmarkAblation_UCQParallel(b *testing.B) { benchQ6UCQ(b, true) }
 
 // BenchmarkE6_MaintainedDelete measures counting-based deletion.
 func BenchmarkE6_MaintainedDelete(b *testing.B) {
@@ -427,7 +425,7 @@ func BenchmarkAblation_GCovCover_MergeJoins(b *testing.B) {
 	ev.Join = exec.JoinMerge
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ev.EvalJUCQ(res.JUCQ); err != nil {
+		if _, err := ev.EvalJUCQ(context.Background(), res.JUCQ); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -54,7 +55,7 @@ func main() {
 		&federation.LocalSource{SourceName: "books-endpoint", Triples: books},
 		&federation.LocalSource{SourceName: "ontology-endpoint", Triples: onto},
 	)
-	e, err := med.Engine()
+	e, err := med.Engine(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

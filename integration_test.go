@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -113,7 +114,7 @@ func TestFullPipeline(t *testing.T) {
 		&federation.HTTPSource{SourceName: "lubm", BaseURL: srv.URL},
 		&federation.GraphSource{SourceName: "dblp", Graph: dblp.Graph},
 	)
-	fedEng, err := med.Engine()
+	fedEng, err := med.Engine(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,17 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/lubm"
 	"repro/internal/query"
+	"repro/internal/trace"
 )
 
 // E4Result reproduces demo step 3: introspection of one answering run —
@@ -22,7 +25,18 @@ type E4Result struct {
 	FinalCover string
 }
 
+// e4MaxSpans bounds E4's span tree: Example 1's GCov JUCQ evaluates ~300
+// member CQs of a handful of operators each, well inside the bound. E4
+// fails rather than report a table built from a truncated tree.
+const e4MaxSpans = 1 << 16
+
+// e4JoinMethods names E4's operator rows by the materialized-join span
+// they come from.
+var e4JoinMethods = map[string]string{"hashjoin": "hash", "cross": "cross", "merge": "merge"}
+
 // E4 introspects Example 1 under GCov.
+//
+//reflint:ctxbg a batch experiment has no caller to cancel it; the per-strategy budget bounds each run
 func E4(cfg Config) (*E4Result, error) {
 	cfg = cfg.withDefaults()
 	g, err := lubm.NewGraph(cfg.Profile, cfg.Seed)
@@ -49,11 +63,12 @@ func E4(cfg Config) (*E4Result, error) {
 
 	// Estimated vs actual per fragment.
 	res.Fragments.Header = []string{"fragment", "#CQs", "est. card", "actual card", "est. cost"}
+	ctx := context.Background()
 	ev := exec.New(e.Store(), e.Stats())
 	m := e.CostModel()
 	for _, f := range gres.JUCQ.Fragments {
 		est := m.UCQ(f.UCQ)
-		actual, err := ev.EvalUCQ(f.UCQ)
+		actual, err := ev.EvalUCQ(ctx, f.UCQ)
 		if err != nil {
 			return nil, err
 		}
@@ -61,22 +76,42 @@ func E4(cfg Config) (*E4Result, error) {
 			est.Card, actual.Len(), est.Cost)
 	}
 
-	// Operator trace of the full JUCQ evaluation.
-	tr := &exec.Trace{}
+	// Operator trace of the full JUCQ evaluation, read from the span tree
+	// production EXPLAIN ANALYZE records.
+	tr := trace.New(e4MaxSpans)
+	root := tr.StartSpan("eval")
+	defer root.End()
 	tev := exec.New(e.Store(), e.Stats())
-	tev.Trace = tr
-	if _, err := tev.EvalJUCQ(gres.JUCQ); err != nil {
+	tev.Span = root
+	if _, err := tev.EvalJUCQ(ctx, gres.JUCQ); err != nil {
 		return nil, err
 	}
-	res.Operators.Header = []string{"operator", "left rows", "right rows", "out rows"}
-	for _, j := range tr.Joins {
-		// Only the materialized fragment-level joins; the per-CQ index
-		// probes inside fragment UCQs would drown the table.
-		if j.Method == "inlj" {
-			continue
-		}
-		res.Operators.Add(j.Method+" on "+strings.Join(j.SharedVars, ","), j.LeftRows, j.RightRows, j.OutRows)
+	if n := tr.Dropped(); n > 0 {
+		return nil, fmt.Errorf("bench: e4 operator trace dropped %d spans (bound %d)", n, e4MaxSpans)
 	}
+	res.Operators.Header = []string{"operator", "left rows", "right rows", "out rows"}
+	root.Visit(func(name string, _ int, _ time.Duration, attrs []trace.Attr) {
+		// Only the materialized joins; the per-CQ index probes inside
+		// fragment UCQs would drown the table.
+		method, ok := e4JoinMethods[name]
+		if !ok {
+			return
+		}
+		on, left, right, out := "", 0, 0, 0
+		for _, a := range attrs {
+			switch a.Key {
+			case "on":
+				on = a.String()
+			case "left_rows":
+				left = int(a.Number())
+			case "right_rows":
+				right = int(a.Number())
+			case "rows":
+				out = int(a.Number())
+			}
+		}
+		res.Operators.Add(method+" on "+on, left, right, out)
+	})
 	return res, nil
 }
 

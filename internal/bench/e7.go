@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -44,6 +45,8 @@ type E7Point struct {
 }
 
 // E7 sweeps the partition-cover space of Example 1.
+//
+//reflint:ctxbg a batch experiment has no caller to cancel it; the per-cover budget bounds each run
 func E7(cfg Config) (*E7Result, error) {
 	cfg = cfg.withDefaults()
 	g, err := lubm.NewGraph(cfg.Profile, cfg.Seed)
@@ -75,7 +78,7 @@ func E7(cfg Config) (*E7Result, error) {
 		// skipped, like the paper's infeasible points).
 		ev.Budget = exec.Budget{Timeout: cfg.Timeout, MaxRows: 2_000_000}
 		start := time.Now()
-		rows, err := ev.EvalJUCQ(j)
+		rows, err := ev.EvalJUCQ(context.Background(), j)
 		if err != nil {
 			return nil, nil // infeasible under the budget: skipped
 		}

@@ -1,8 +1,8 @@
 // Package columnar implements the v2 on-disk snapshot format: the
 // dictionary term table plus the graph's ID triples, laid out as
 // delta-encoded sorted columns, flate-compressed and CRC32C-checksummed
-// per section. It replaces the gob blob of the v1 format (which package
-// graph keeps read compatibility for) with a layout that is both smaller
+// per section. It replaces the gob blob of the retired v1 format (which
+// package graph rejects with ErrSnapshotV1) with a layout that is both smaller
 // — the sorted subject column delta-encodes into mostly one-byte varints,
 // and flate squeezes the term table's shared IRI prefixes — and loadable
 // with per-column parallelism: every section is independently framed and

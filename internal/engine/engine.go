@@ -112,8 +112,6 @@ type Engine struct {
 
 	// Budget bounds each evaluation (zero: unlimited).
 	Budget exec.Budget
-	// Parallel enables parallel UCQ evaluation.
-	Parallel bool
 	// MaxFragmentCQs bounds per-fragment reformulation sizes for the
 	// JUCQ strategies (zero: core.DefaultMaxFragmentCQs).
 	MaxFragmentCQs int
@@ -325,7 +323,6 @@ func (e *Engine) SatStats() *stats.Stats {
 func (e *Engine) evaluator(st exec.Source, ss *stats.Stats) *exec.Evaluator {
 	ev := exec.New(st, ss)
 	ev.Budget = e.Budget
-	ev.Parallel = e.Parallel
 	ev.Metrics = e.Metrics
 	return ev
 }
@@ -645,7 +642,7 @@ func (e *Engine) answerSat(ctx context.Context, q query.CQ, sp *trace.Span) (*An
 	es := startEval(sp, ev, e.SatCostModel())
 	defer es.End()
 	start := time.Now()
-	rows, err := ev.EvalCQContext(ctx, query.HeadVarNames(q), q)
+	rows, err := ev.EvalCQ(ctx, query.HeadVarNames(q), q)
 	if err != nil {
 		endEval(es, nil)
 		return nil, err
@@ -684,7 +681,7 @@ func (e *Engine) answerUCQ(ctx context.Context, q query.CQ, r *core.Reformulator
 	es := startEval(sp, ev, e.CostModel())
 	defer es.End()
 	start := time.Now()
-	rows, err := ev.EvalUCQStreamContext(ctx, head, func(fn func(query.CQ) bool) {
+	rows, err := ev.EvalUCQStream(ctx, head, func(fn func(query.CQ) bool) {
 		r.EnumerateCQ(q, fn)
 	})
 	if err != nil {
@@ -739,7 +736,7 @@ func (e *Engine) answerCover(ctx context.Context, q query.CQ, cover query.Cover,
 	es := startEval(sp, ev, e.CostModel())
 	defer es.End()
 	start := time.Now()
-	rows, err := ev.EvalJUCQContext(ctx, j)
+	rows, err := ev.EvalJUCQ(ctx, j)
 	if err != nil {
 		endEval(es, nil)
 		return nil, err
@@ -823,7 +820,7 @@ func (e *Engine) answerGCov(ctx context.Context, q query.CQ, sp *trace.Span) (*A
 	es := startEval(sp, ev, e.CostModel())
 	defer es.End()
 	start := time.Now()
-	rows, err := ev.EvalJUCQContext(ctx, entry.jucq)
+	rows, err := ev.EvalJUCQ(ctx, entry.jucq)
 	if err != nil {
 		endEval(es, nil)
 		return nil, err

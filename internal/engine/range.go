@@ -60,7 +60,7 @@ func (e *Engine) answerRange(ctx context.Context, q query.CQ, sp *trace.Span) (*
 	es := startEval(sp, ev, m)
 	defer es.End()
 	start := time.Now()
-	rows, err := ev.EvalRangeUCQContext(ctx, ru)
+	rows, err := ev.EvalRangeUCQ(ctx, ru)
 	if err != nil {
 		endEval(es, nil)
 		return nil, err

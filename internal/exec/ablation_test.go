@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -54,13 +55,13 @@ func TestForceHashJoinsEquivalence(t *testing.T) {
 			}
 			for qi, q := range queries {
 				def := New(st, ss)
-				want, err := def.EvalCQ(query.HeadVarNames(q), q)
+				want, err := def.EvalCQ(context.Background(), query.HeadVarNames(q), q)
 				if err != nil {
 					t.Fatal(err)
 				}
 				forced := New(st, ss)
 				forced.ForceHashJoins = true
-				got, err := forced.EvalCQ(query.HeadVarNames(q), q)
+				got, err := forced.EvalCQ(context.Background(), query.HeadVarNames(q), q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -77,7 +78,7 @@ func TestForceHashJoinsNoINLJInTrace(t *testing.T) {
 	st, ss := tinyStore([][3]dict.ID{{1, 10, 2}, {2, 11, 3}, {4, 10, 5}})
 	e := New(st, ss)
 	e.ForceHashJoins = true
-	e.Trace = &Trace{}
+	root := traced(e)
 	q := query.CQ{
 		Head: []query.Arg{v("x")},
 		Atoms: []query.Atom{
@@ -85,16 +86,17 @@ func TestForceHashJoinsNoINLJInTrace(t *testing.T) {
 			{S: v("y"), P: c(11), O: v("z")},
 		},
 	}
-	if _, err := e.EvalCQ([]string{"x"}, q); err != nil {
+	if _, err := e.EvalCQ(context.Background(), []string{"x"}, q); err != nil {
 		t.Fatal(err)
 	}
-	for _, j := range e.Trace.Joins {
-		if j.Method == "inlj" {
+	ops := opNames(root)
+	for _, op := range ops {
+		if op == "inlj" {
 			t.Fatal("ForceHashJoins must prevent index joins")
 		}
 	}
-	if len(e.Trace.Joins) == 0 {
-		t.Fatal("expected a hash join in the trace")
+	if !hasOp(ops, "hashjoin") {
+		t.Fatalf("expected a hash join in the trace, got %v", ops)
 	}
 }
 
@@ -122,14 +124,14 @@ func TestMergeJoinEquivalence(t *testing.T) {
 			}
 			hash := New(st, ss)
 			hash.ForceHashJoins = true
-			want, err := hash.EvalCQ(query.HeadVarNames(q), q)
+			want, err := hash.EvalCQ(context.Background(), query.HeadVarNames(q), q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			merge := New(st, ss)
 			merge.ForceHashJoins = true
 			merge.Join = JoinMerge
-			got, err := merge.EvalCQ(query.HeadVarNames(q), q)
+			got, err := merge.EvalCQ(context.Background(), query.HeadVarNames(q), q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,7 +148,7 @@ func TestMergeJoinCrossProductFallback(t *testing.T) {
 	e := New(st, ss)
 	e.ForceHashJoins = true
 	e.Join = JoinMerge
-	e.Trace = &Trace{}
+	root := traced(e)
 	q := query.CQ{
 		Head: []query.Arg{v("x"), v("u")},
 		Atoms: []query.Atom{
@@ -154,17 +156,15 @@ func TestMergeJoinCrossProductFallback(t *testing.T) {
 			{S: v("u"), P: c(11), O: v("w")},
 		},
 	}
-	res, err := e.EvalCQ([]string{"x", "u"}, q)
+	res, err := e.EvalCQ(context.Background(), []string{"x", "u"}, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Len() != 2 {
 		t.Fatalf("cross product rows %d, want 2", res.Len())
 	}
-	for _, j := range e.Trace.Joins {
-		if j.Method == "merge" && len(j.SharedVars) == 0 {
-			t.Fatal("cross products must not go through merge join")
-		}
+	if ops := opNames(root); hasOp(ops, "merge") || !hasOp(ops, "cross") {
+		t.Fatalf("cross products must not go through merge join: %v", ops)
 	}
 }
 
@@ -187,7 +187,7 @@ func TestMergeJoinBudget(t *testing.T) {
 		},
 	}
 	// 40×40 = 1600 joined rows on the single shared x > budget 100.
-	if _, err := e.EvalCQ([]string{"x"}, q); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := e.EvalCQ(context.Background(), []string{"x"}, q); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("want budget error, got %v", err)
 	}
 }

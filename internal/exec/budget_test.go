@@ -34,42 +34,6 @@ func crossCQ() query.CQ {
 	}
 }
 
-// Regression for the headline bug: parallel UCQ workers used to restart
-// Budget.Timeout per CQ (fresh sub-Evaluator → EvalCQ → fresh deadline),
-// so a union of N CQs effectively got N budgets. The deadline must be set
-// once for the whole union and shared by every worker.
-func TestParallelUCQSharedTimeout(t *testing.T) {
-	st, ss := tinyStore(crossStore(400))
-	u := query.UCQ{HeadNames: []string{"x", "z"}}
-	for i := 0; i < 8; i++ {
-		u.CQs = append(u.CQs, crossCQ())
-	}
-
-	// Unbudgeted serial baseline: how long the real work takes.
-	base := New(st, ss)
-	start := time.Now()
-	if _, err := base.EvalUCQ(u); err != nil {
-		t.Fatalf("unbudgeted baseline failed: %v", err)
-	}
-	baseline := time.Since(start)
-
-	e := New(st, ss)
-	e.Parallel = true
-	e.Budget.Timeout = time.Millisecond
-	start = time.Now()
-	_, err := e.EvalUCQ(u)
-	elapsed := time.Since(start)
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("want ErrBudgetExceeded, got %v", err)
-	}
-	// With a shared deadline the whole union aborts almost immediately;
-	// with per-CQ restarts it would run each CQ to completion. Allow a
-	// wide margin for scheduling noise and the race detector.
-	if elapsed > baseline/2+100*time.Millisecond {
-		t.Fatalf("budgeted eval took %v (baseline %v): deadline looks restarted per CQ", elapsed, baseline)
-	}
-}
-
 // The serial UCQ loop shares the same guard — one budget for the union.
 func TestSerialUCQSharedTimeout(t *testing.T) {
 	st, ss := tinyStore(crossStore(800))
@@ -77,7 +41,7 @@ func TestSerialUCQSharedTimeout(t *testing.T) {
 	e := New(st, ss)
 	e.Budget.Timeout = time.Millisecond
 	start := time.Now()
-	_, err := e.EvalUCQ(u)
+	_, err := e.EvalUCQ(context.Background(), u)
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("want ErrBudgetExceeded, got %v", err)
 	}
@@ -86,9 +50,10 @@ func TestSerialUCQSharedTimeout(t *testing.T) {
 	}
 }
 
-// Regression for the same defect in EvalJUCQ: each fragment's UCQ used to
-// be evaluated with a fresh deadline (serial and parallel paths alike), so
-// a 2-fragment JUCQ with timeout T could run for ~2T. It must fail in ≈T.
+// Regression for a defect in EvalJUCQ: each fragment's UCQ used to be
+// evaluated with a fresh deadline, so a 2-fragment JUCQ with timeout T
+// could run for ~2T. It must fail in ≈T. The scatter half lives in
+// scatter_test.go (TestScatterJUCQSharedTimeout).
 func TestJUCQSharedTimeout(t *testing.T) {
 	st, ss := tinyStore(crossStore(800))
 	frag := func() query.Fragment {
@@ -104,24 +69,21 @@ func TestJUCQSharedTimeout(t *testing.T) {
 
 	base := New(st, ss)
 	start := time.Now()
-	if _, err := base.EvalJUCQ(j); err != nil {
+	if _, err := base.EvalJUCQ(context.Background(), j); err != nil {
 		t.Fatalf("unbudgeted baseline failed: %v", err)
 	}
 	baseline := time.Since(start)
 
-	for _, parallel := range []bool{false, true} {
-		e := New(st, ss)
-		e.Parallel = parallel
-		e.Budget.Timeout = time.Millisecond
-		start = time.Now()
-		_, err := e.EvalJUCQ(j)
-		elapsed := time.Since(start)
-		if !errors.Is(err, ErrBudgetExceeded) {
-			t.Fatalf("parallel=%v: want ErrBudgetExceeded, got %v", parallel, err)
-		}
-		if elapsed > baseline/2+100*time.Millisecond {
-			t.Fatalf("parallel=%v: budgeted JUCQ took %v (baseline %v): deadline looks restarted per fragment", parallel, elapsed, baseline)
-		}
+	e := New(st, ss)
+	e.Budget.Timeout = time.Millisecond
+	start = time.Now()
+	_, err := e.EvalJUCQ(context.Background(), j)
+	elapsed := time.Since(start)
+	if !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("want ErrBudgetExceeded, got %v", err)
+	}
+	if elapsed > baseline/2+100*time.Millisecond {
+		t.Fatalf("budgeted JUCQ took %v (baseline %v): deadline looks restarted per fragment", elapsed, baseline)
 	}
 }
 
@@ -131,7 +93,7 @@ func TestEvalCQContextPreCanceled(t *testing.T) {
 	e := New(st, ss)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.EvalCQContext(ctx, []string{"x", "z"}, crossCQ()); !errors.Is(err, ErrCanceled) {
+	if _, err := e.EvalCQ(ctx, []string{"x", "z"}, crossCQ()); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
 }
@@ -143,7 +105,7 @@ func TestCancelMidEval(t *testing.T) {
 
 	base := New(st, ss)
 	start := time.Now()
-	if _, err := base.EvalCQ([]string{"x", "z"}, crossCQ()); err != nil {
+	if _, err := base.EvalCQ(context.Background(), []string{"x", "z"}, crossCQ()); err != nil {
 		t.Fatalf("unbudgeted baseline failed: %v", err)
 	}
 	baseline := time.Since(start)
@@ -153,7 +115,7 @@ func TestCancelMidEval(t *testing.T) {
 	timer := time.AfterFunc(time.Millisecond, cancel)
 	defer timer.Stop()
 	start = time.Now()
-	_, err := e.EvalCQContext(ctx, []string{"x", "z"}, crossCQ())
+	_, err := e.EvalCQ(ctx, []string{"x", "z"}, crossCQ())
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
@@ -170,40 +132,7 @@ func TestContextDeadlineMapsToBudgetError(t *testing.T) {
 	e := New(st, ss)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, err := e.EvalCQContext(ctx, []string{"x", "z"}, crossCQ()); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := e.EvalCQ(ctx, []string{"x", "z"}, crossCQ()); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("want ErrBudgetExceeded, got %v", err)
-	}
-}
-
-// Parallel UCQ and JUCQ evaluation with budgets must be race-free:
-// workers share one guard (ctx + absolute deadline + atomic tally).
-// Run under -race.
-func TestParallelBudgetedEvalRace(t *testing.T) {
-	st, ss := tinyStore(crossStore(64))
-	u := query.UCQ{HeadNames: []string{"x", "z"}}
-	for i := 0; i < 12; i++ {
-		u.CQs = append(u.CQs, crossCQ())
-	}
-	for i := 0; i < 4; i++ {
-		e := New(st, ss)
-		e.Parallel = true
-		e.Budget.Timeout = 30 * time.Second
-		r, err := e.EvalUCQ(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Len() != 64*64 {
-			t.Fatalf("want %d rows, got %d", 64*64, r.Len())
-		}
-	}
-	frag := query.Fragment{UCQ: query.UCQ{HeadNames: []string{"x", "z"}, CQs: []query.CQ{crossCQ()}}}
-	j := query.JUCQ{HeadNames: []string{"x", "z"}, Fragments: []query.Fragment{frag, frag}}
-	for i := 0; i < 4; i++ {
-		e := New(st, ss)
-		e.Parallel = true
-		e.Budget.Timeout = 30 * time.Second
-		if _, err := e.EvalJUCQ(j); err != nil {
-			t.Fatal(err)
-		}
 	}
 }

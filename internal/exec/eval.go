@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -36,7 +34,8 @@ type Budget struct {
 	MaxRows int
 	// Timeout caps wall-clock evaluation time. The deadline is set once
 	// per top-level Eval* call and shared by every sub-evaluation it
-	// spawns (serial or parallel): a UCQ of N CQs gets one budget, not N.
+	// spawns (shard-local or central): a UCQ of N CQs gets one budget,
+	// not N.
 	Timeout time.Duration
 }
 
@@ -51,12 +50,10 @@ type Evaluator struct {
 
 	// Budget bounds every evaluation started afterwards.
 	Budget Budget
-	// Parallel enables concurrent evaluation of UCQ branches.
-	Parallel bool
-	// MaxParallel caps the workers a parallel evaluation may use
-	// (0 = runtime.GOMAXPROCS). The admission layer sets it to the
-	// query's admitted gate weight, so an evaluation's CPU fan-out
-	// tracks the slots it holds instead of every admitted query
+	// MaxParallel caps the scatter workers an evaluation over a sharded
+	// source may use (0 = runtime.GOMAXPROCS). The admission layer sets
+	// it to the query's admitted gate weight, so an evaluation's CPU
+	// fan-out tracks the slots it holds instead of every admitted query
 	// claiming the whole machine.
 	MaxParallel int
 	// ForceHashJoins disables index-nested-loop joins, materializing and
@@ -66,19 +63,16 @@ type Evaluator struct {
 	// Join selects the algorithm for materialized joins (hash by
 	// default; merge sorts both sides — the second ablation knob).
 	Join JoinAlgorithm
-	// Trace, when non-nil, records per-operator cardinalities (demo step
-	// 3 introspection). Tracing disables parallelism.
-	Trace *Trace
 	// Metrics, when non-nil, receives executor counters (rows scanned /
-	// joined / unioned, parallel worker utilization). Safe to share
-	// across evaluators and goroutines.
+	// joined / unioned, per-shard scatter traffic). Safe to share across
+	// evaluators and goroutines.
 	Metrics *metrics.Registry
 	// Span, when non-nil, is the parent under which every top-level Eval*
 	// call records one span per operator (scan, index/hash/merge join,
 	// union, projection) with its actual row count, wall time and — when
 	// Cost is also set — the cost model's estimated cardinality
 	// (EXPLAIN ANALYZE's est-vs-actual columns). Span tracing is
-	// concurrency-safe and does not disable parallel evaluation.
+	// concurrency-safe and does not change the plan or its fan-out.
 	Span *trace.Span
 	// Cost, when non-nil, supplies per-operator estimates next to the
 	// actuals recorded under Span. Only consulted while Span is set, so
@@ -99,28 +93,6 @@ type Evaluator struct {
 	CacheStats *CacheStats
 }
 
-// Trace records what an evaluation did.
-type Trace struct {
-	Scans []ScanInfo
-	Joins []JoinInfo
-	CQs   int
-}
-
-// ScanInfo records one index scan.
-type ScanInfo struct {
-	Atom string
-	Rows int
-}
-
-// JoinInfo records one join step.
-type JoinInfo struct {
-	Method     string // "inlj", "hash" or "cross"
-	SharedVars []string
-	LeftRows   int
-	RightRows  int // -1 for INLJ (the right side is probed, not materialized)
-	OutRows    int
-}
-
 // New returns an evaluator over the source with the given statistics
 // (statistics drive join ordering; they may be nil, in which case plans
 // fall back to left-to-right atom order). A ShardedSource additionally
@@ -138,7 +110,7 @@ func (e *Evaluator) Store() Source { return e.st }
 const checkEvery = 4096
 
 // tally accumulates executor row counts for one top-level evaluation;
-// atomics because parallel sub-evaluations share it. Flushed into the
+// atomics because concurrent scatter workers share it. Flushed into the
 // metrics registry once per evaluation, keeping registry traffic off the
 // per-row path.
 type tally struct {
@@ -151,8 +123,8 @@ type tally struct {
 // guard is the unified early-stop check every operator polls: the budget's
 // wall-clock deadline plus caller cancellation. One guard is created per
 // top-level Eval* call and threaded — by value, its fields immutable — into
-// every sub-evaluation, serial or parallel, so the whole evaluation shares
-// one deadline and one cancellation signal.
+// every sub-evaluation, central or per shard, so the whole evaluation
+// shares one deadline and one cancellation signal.
 type guard struct {
 	ctx   context.Context // nil: not cancellable
 	at    time.Time
@@ -227,15 +199,10 @@ func (e *Evaluator) checkRows(n int) error {
 
 // EvalCQ evaluates one conjunctive query and returns its distinct answers
 // over the CQ's head (column names follow headNames, which must align with
-// q.Head).
-func (e *Evaluator) EvalCQ(headNames []string, q query.CQ) (*Relation, error) {
-	return e.EvalCQContext(context.Background(), headNames, q)
-}
-
-// EvalCQContext is EvalCQ bounded by ctx: cancellation aborts the
-// evaluation at the next operator checkpoint (at most checkEvery rows
-// away) with an error wrapping ErrCanceled.
-func (e *Evaluator) EvalCQContext(ctx context.Context, headNames []string, q query.CQ) (*Relation, error) {
+// q.Head). Canceling ctx aborts the evaluation at the next operator
+// checkpoint (at most checkEvery rows away) with an error wrapping
+// ErrCanceled.
+func (e *Evaluator) EvalCQ(ctx context.Context, headNames []string, q query.CQ) (*Relation, error) {
 	g := e.newGuard(ctx)
 	defer g.flush(e.Metrics)
 	return e.evalCQ(headNames, q, g, e.Span)
@@ -404,6 +371,10 @@ func (e *Evaluator) scanAtom(a query.Atom, g guard, sp *trace.Span, est float64)
 		}
 	}
 	pat := a.Pattern()
+	atom := ""
+	if sp != nil {
+		atom = query.FormatAtom(e.st.Dict(), a)
+	}
 	scan := func(src Source, rel *Relation) error {
 		row := make([]dict.ID, len(vars))
 		var stopErr error
@@ -441,13 +412,13 @@ func (e *Evaluator) scanAtom(a query.Atom, g guard, sp *trace.Span, est float64)
 		return stopErr
 	}
 	if sh := e.scatterSource(); sh != nil && pat.S == dict.None {
-		return e.scatterScan(sh, "scan", query.FormatAtom(e.st.Dict(), a), vars, g, sp, est, scan)
+		return e.scatterScan(sh, "scan", atom, vars, g, sp, est, scan)
 	}
 	var ssp *trace.Span
 	if sp != nil {
 		ssp = sp.Child("scan")
 		defer ssp.End()
-		ssp.SetStr("atom", query.FormatAtom(e.st.Dict(), a))
+		ssp.SetStr("atom", atom)
 		if est >= 0 {
 			ssp.SetFloat("est_rows", est)
 		}
@@ -460,9 +431,6 @@ func (e *Evaluator) scanAtom(a query.Atom, g guard, sp *trace.Span, est float64)
 	if ssp != nil {
 		ssp.SetInt("rows", int64(rel.Len()))
 		ssp.End()
-	}
-	if e.Trace != nil {
-		e.Trace.Scans = append(e.Trace.Scans, ScanInfo{Atom: fmt.Sprintf("%v", a), Rows: rel.Len()})
 	}
 	return rel, nil
 }
@@ -588,12 +556,6 @@ func (e *Evaluator) indexJoin(cur *Relation, a query.Atom, g guard, sp *trace.Sp
 		jsp.SetInt("rows", int64(out.Len()))
 		jsp.End()
 	}
-	if e.Trace != nil {
-		e.Trace.Joins = append(e.Trace.Joins, JoinInfo{
-			Method: "inlj", SharedVars: boundVars(a, cur.Vars),
-			LeftRows: cur.Len(), RightRows: -1, OutRows: out.Len(),
-		})
-	}
 	return out, nil
 }
 
@@ -609,6 +571,9 @@ func (e *Evaluator) hashJoin(l, r *Relation, g guard, sp *trace.Span, est float6
 		}
 		jsp = sp.Child(name)
 		defer jsp.End()
+		if len(shared) > 0 {
+			jsp.SetStr("on", strings.Join(shared, ","))
+		}
 		jsp.SetInt("left_rows", int64(l.Len()))
 		jsp.SetInt("right_rows", int64(r.Len()))
 		if est >= 0 {
@@ -694,16 +659,6 @@ func (e *Evaluator) hashJoin(l, r *Relation, g guard, sp *trace.Span, est float6
 		jsp.SetInt("rows", int64(out.Len()))
 		jsp.End()
 	}
-	if e.Trace != nil {
-		method := "hash"
-		if len(shared) == 0 {
-			method = "cross"
-		}
-		e.Trace.Joins = append(e.Trace.Joins, JoinInfo{
-			Method: method, SharedVars: shared,
-			LeftRows: l.Len(), RightRows: r.Len(), OutRows: out.Len(),
-		})
-	}
 	return out, nil
 }
 
@@ -731,14 +686,10 @@ func (e *Evaluator) projectHead(headNames []string, head []query.Arg, body *Rela
 	return body.ProjectCheck(headNames, sources, consts, g.err)
 }
 
-// EvalUCQ evaluates a union of CQs with set semantics.
-func (e *Evaluator) EvalUCQ(u query.UCQ) (*Relation, error) {
-	return e.EvalUCQContext(context.Background(), u)
-}
-
-// EvalUCQContext is EvalUCQ bounded by ctx. The whole union — serial or
-// parallel — shares one deadline and one cancellation signal.
-func (e *Evaluator) EvalUCQContext(ctx context.Context, u query.UCQ) (*Relation, error) {
+// EvalUCQ evaluates a union of CQs with set semantics, bounded by ctx. The
+// whole union — central or scattered over shards — shares one deadline
+// and one cancellation signal.
+func (e *Evaluator) EvalUCQ(ctx context.Context, u query.UCQ) (*Relation, error) {
 	if len(u.CQs) == 0 {
 		return NewRelation(u.HeadNames), nil
 	}
@@ -762,11 +713,16 @@ func (e *Evaluator) evalUCQ(u query.UCQ, g guard, sp *trace.Span) (*Relation, er
 	}
 	if sh := e.scatterSource(); sh != nil {
 		if co, rest := splitCoPartitioned(u); len(co) >= 2 {
-			return e.evalUCQScatter(sh, u, co, rest, g, usp)
+			out, err := e.evalUCQScatter(sh, u, co, rest, g, usp)
+			if err != nil {
+				return nil, err
+			}
+			if usp != nil {
+				usp.SetInt("rows", int64(out.Len()))
+				usp.End()
+			}
+			return out, nil
 		}
-	}
-	if e.Parallel && e.Trace == nil && len(u.CQs) >= 8 {
-		return e.evalUCQParallel(u, g, usp)
 	}
 	out := NewRelation(u.HeadNames)
 	done := 0
@@ -779,9 +735,6 @@ func (e *Evaluator) evalUCQ(u query.UCQ, g guard, sp *trace.Span) (*Relation, er
 			return nil, err
 		}
 		done++
-		if e.Trace != nil {
-			e.Trace.CQs++
-		}
 		if err := appendRelation(out, r, g.err); err != nil {
 			return nil, err
 		}
@@ -801,14 +754,10 @@ func (e *Evaluator) evalUCQ(u query.UCQ, g guard, sp *trace.Span) (*Relation, er
 }
 
 // EvalUCQStream evaluates the CQs produced by a streaming enumeration
-// (used when the UCQ is too large to materialize); enumerate must call its
-// argument once per CQ and stop when it returns false.
-func (e *Evaluator) EvalUCQStream(headNames []string, enumerate func(func(query.CQ) bool)) (*Relation, error) {
-	return e.EvalUCQStreamContext(context.Background(), headNames, enumerate)
-}
-
-// EvalUCQStreamContext is EvalUCQStream bounded by ctx.
-func (e *Evaluator) EvalUCQStreamContext(ctx context.Context, headNames []string, enumerate func(func(query.CQ) bool)) (*Relation, error) {
+// (used when the UCQ is too large to materialize), bounded by ctx;
+// enumerate must call its argument once per CQ and stop when it returns
+// false.
+func (e *Evaluator) EvalUCQStream(ctx context.Context, headNames []string, enumerate func(func(query.CQ) bool)) (*Relation, error) {
 	g := e.newGuard(ctx)
 	defer g.flush(e.Metrics)
 	var usp *trace.Span
@@ -855,99 +804,12 @@ func (e *Evaluator) EvalUCQStreamContext(ctx context.Context, headNames []string
 	return out, nil
 }
 
-func (e *Evaluator) evalUCQParallel(u query.UCQ, g guard, sp *trace.Span) (*Relation, error) {
-	nw := runtime.GOMAXPROCS(0)
-	if e.MaxParallel > 0 && e.MaxParallel < nw {
-		nw = e.MaxParallel
-	}
-	if nw > len(u.CQs) {
-		nw = len(u.CQs)
-	}
-	e.Metrics.Counter("exec.parallel_evals").Inc()
-	e.Metrics.Histogram("exec.parallel_workers", 1, 2, 4, 8, 16, 32, 64).Observe(float64(nw))
-	busy := e.Metrics.Gauge("exec.parallel_workers_busy")
-	var (
-		mu    sync.Mutex
-		out   = NewRelation(u.HeadNames)
-		first error
-		idx   int
-	)
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			busy.Add(1)
-			defer busy.Add(-1)
-			for {
-				mu.Lock()
-				if first != nil || idx >= len(u.CQs) {
-					mu.Unlock()
-					return
-				}
-				cq := u.CQs[idx]
-				idx++
-				mu.Unlock()
-				if err := g.err(); err != nil {
-					mu.Lock()
-					if first == nil {
-						first = err
-					}
-					mu.Unlock()
-					return
-				}
-				// Workers evaluate whole CQs, but every sub-evaluation
-				// runs under the caller's guard: the union shares one
-				// deadline instead of restarting Budget.Timeout per CQ.
-				// The span tree is mutex-protected, so workers may record
-				// operator spans concurrently.
-				// MaxParallel 1: the union already owns the fan-out, so a
-				// sharded source evaluates its shards serially per CQ
-				// instead of multiplying workers.
-				sub := &Evaluator{st: e.st, stats: e.stats, Budget: e.Budget, ForceHashJoins: e.ForceHashJoins, Join: e.Join, Cost: e.Cost, MaxParallel: 1}
-				r, err := sub.evalCQ(u.HeadNames, cq, g, sp)
-				mu.Lock()
-				if err != nil && first == nil {
-					first = err
-				}
-				if err == nil && first == nil {
-					if aerr := appendRelation(out, r, g.err); aerr != nil {
-						first = aerr
-					}
-					g.addUnioned(r.Len())
-					if berr := e.checkRows(out.Len()); berr != nil && first == nil {
-						first = berr
-					}
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if first != nil {
-		return nil, first
-	}
-	if err := out.DistinctCheck(g.err); err != nil {
-		return nil, err
-	}
-	if sp != nil {
-		sp.SetInt("rows", int64(out.Len()))
-		sp.End()
-	}
-	return out, nil
-}
-
-// EvalJUCQ evaluates a join of UCQs: each fragment's UCQ is evaluated
-// (concurrently when Parallel is set — fragments are independent) and the
-// fragment results are joined, then projected on the head.
-func (e *Evaluator) EvalJUCQ(j query.JUCQ) (*Relation, error) {
-	return e.EvalJUCQContext(context.Background(), j)
-}
-
-// EvalJUCQContext is EvalJUCQ bounded by ctx. All fragments — serial or
-// parallel — share one deadline: a JUCQ of N fragments gets one
+// EvalJUCQ evaluates a join of UCQs bounded by ctx: each fragment's UCQ is
+// evaluated once (its scans scattering over shards when the source is
+// sharded), then the fragment results are joined and projected on the
+// head. All fragments share one deadline: a JUCQ of N fragments gets one
 // Budget.Timeout, not N.
-func (e *Evaluator) EvalJUCQContext(ctx context.Context, j query.JUCQ) (*Relation, error) {
+func (e *Evaluator) EvalJUCQ(ctx context.Context, j query.JUCQ) (*Relation, error) {
 	if len(j.Fragments) == 0 {
 		return nil, errors.New("exec: JUCQ without fragments")
 	}
@@ -974,9 +836,9 @@ func (e *Evaluator) EvalJUCQContext(ctx context.Context, j query.JUCQ) (*Relatio
 	// evaluates under this JUCQ's guard and may be admitted. Outcomes land
 	// on the fragment span (cache_hit / cache_bytes in EXPLAIN ANALYZE)
 	// and on CacheStats for the per-answer cached_fragments count.
-	evalFragment := func(sub *Evaluator, f query.Fragment, i int, fsp *trace.Span) (*Relation, error) {
+	evalFragment := func(f query.Fragment, i int, fsp *trace.Span) (*Relation, error) {
 		if e.FragCache == nil {
-			return sub.evalUCQ(f.UCQ, g, fsp)
+			return e.evalUCQ(f.UCQ, g, fsp)
 		}
 		est := func() float64 {
 			if fragEsts != nil {
@@ -992,7 +854,7 @@ func (e *Evaluator) EvalJUCQContext(ctx context.Context, j query.JUCQ) (*Relatio
 			key = e.FragKeys[i]
 		}
 		r, out, err := e.FragCache.GetOrEval(f.UCQ, key, est, g.err, func() (*Relation, error) {
-			return sub.evalUCQ(f.UCQ, g, fsp)
+			return e.evalUCQ(f.UCQ, g, fsp)
 		})
 		if err != nil {
 			return nil, err
@@ -1019,79 +881,37 @@ func (e *Evaluator) EvalJUCQContext(ctx context.Context, j query.JUCQ) (*Relatio
 		}
 		return r, nil
 	}
-	newFragSpan := func(i int) *trace.Span {
-		if sp == nil {
-			return nil
-		}
-		fsp := sp.Child("fragment")
-		fsp.SetInt("idx", int64(i))
-		fsp.SetStr("atoms", query.Cover{j.Fragments[i].AtomIndexes}.String())
-		if fragEsts != nil {
-			fsp.SetFloat("est_rows", fragEsts[i].Card)
-		}
-		return fsp
-	}
-	endFragSpan := func(fsp *trace.Span, r *Relation) {
-		if fsp != nil && r != nil {
-			fsp.SetInt("rows", int64(r.Len()))
-			fsp.End()
-		}
-	}
 	rels := make([]*Relation, len(j.Fragments))
-	if e.Parallel && e.Trace == nil && len(j.Fragments) > 1 {
-		var wg sync.WaitGroup
-		errs := make([]error, len(j.Fragments))
-		// MaxParallel bounds how many fragments evaluate at once; without
-		// it every fragment gets its own goroutine as before.
-		var sem chan struct{}
-		if e.MaxParallel > 0 && e.MaxParallel < len(j.Fragments) {
-			sem = make(chan struct{}, e.MaxParallel)
+	for i, f := range j.Fragments {
+		if err := g.err(); err != nil {
+			return nil, err
 		}
-		//reflint:noguard spawn loop bounded by fragment count; workers poll inside evalUCQ
-		for i, f := range j.Fragments {
-			i, f := i, f
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if sem != nil {
-					sem <- struct{}{}
-					defer func() { <-sem }()
-				}
-				fsp := newFragSpan(i)
+		// Per-fragment closure so the fragment span's defer does not pile
+		// up across iterations.
+		err := func() error {
+			var fsp *trace.Span
+			if sp != nil {
+				fsp = sp.Child("fragment")
 				defer fsp.End()
-				sub := &Evaluator{st: e.st, stats: e.stats, Budget: e.Budget,
-					ForceHashJoins: e.ForceHashJoins, Join: e.Join, Parallel: false, Cost: e.Cost, MaxParallel: 1}
-				rels[i], errs[i] = evalFragment(sub, f, i, fsp)
-				endFragSpan(fsp, rels[i])
-			}()
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for i, f := range j.Fragments {
-			if err := g.err(); err != nil {
-				return nil, err
-			}
-			// Per-fragment closure so the fragment span's defer does not
-			// pile up across iterations.
-			err := func() error {
-				fsp := newFragSpan(i)
-				defer fsp.End()
-				r, err := evalFragment(e, f, i, fsp)
-				if err != nil {
-					return err
+				fsp.SetInt("idx", int64(i))
+				fsp.SetStr("atoms", query.Cover{f.AtomIndexes}.String())
+				if fragEsts != nil {
+					fsp.SetFloat("est_rows", fragEsts[i].Card)
 				}
-				rels[i] = r
-				endFragSpan(fsp, r)
-				return nil
-			}()
-			if err != nil {
-				return nil, err
 			}
+			r, err := evalFragment(f, i, fsp)
+			if err != nil {
+				return err
+			}
+			rels[i] = r
+			if fsp != nil {
+				fsp.SetInt("rows", int64(r.Len()))
+				fsp.End()
+			}
+			return nil
+		}()
+		if err != nil {
+			return nil, err
 		}
 	}
 	cur := rels[0]
@@ -1184,22 +1004,6 @@ func atomSharesVar(a query.Atom, vars []string) bool {
 		}
 	}
 	return false
-}
-
-func boundVars(a query.Atom, vars []string) []string {
-	var out []string
-	for _, arg := range a.Args() {
-		if !arg.IsVar() {
-			continue
-		}
-		for _, v := range vars {
-			if v == arg.Var {
-				out = append(out, v)
-				break
-			}
-		}
-	}
-	return out
 }
 
 func appendRelation(dst, src *Relation, check func() error) error {

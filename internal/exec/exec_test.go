@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -10,8 +12,10 @@ import (
 	"repro/internal/dict"
 	"repro/internal/graph"
 	"repro/internal/query"
+	"repro/internal/rdf"
 	"repro/internal/stats"
 	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // tinyStore builds a store from (s,p,o) integer triples.
@@ -27,11 +31,49 @@ func tinyStore(triples [][3]dict.ID) (*storage.Store, *stats.Stats) {
 func v(n string) query.Arg   { return query.Variable(n) }
 func c(id dict.ID) query.Arg { return query.Constant(id) }
 
+// traced attaches a fresh span tree to e and returns its root. Spans
+// render atoms through the dictionary, so traced reserves a term for every
+// raw ID the store uses (tinyStore's dictionary starts empty).
+func traced(e *Evaluator) *trace.Span {
+	d := e.Store().Dict()
+	e.Store().Each(storage.Pattern{}, func(t dict.Triple) bool {
+		for _, id := range []dict.ID{t.S, t.P, t.O} {
+			for dict.ID(d.Len()) < id {
+				d.Encode(rdf.NewIRI(fmt.Sprintf("urn:t%d", d.Len()+1)))
+			}
+		}
+		return true
+	})
+	root := trace.New(0).StartSpan("eval")
+	e.Span = root
+	return root
+}
+
+// opNames lists the operator spans recorded under root, in tree order.
+func opNames(root *trace.Span) []string {
+	var ops []string
+	root.Visit(func(name string, depth int, _ time.Duration, _ []trace.Attr) {
+		if depth > 0 {
+			ops = append(ops, name)
+		}
+	})
+	return ops
+}
+
+func hasOp(ops []string, name string) bool {
+	for _, op := range ops {
+		if op == name {
+			return true
+		}
+	}
+	return false
+}
+
 func TestEvalSingleAtom(t *testing.T) {
 	st, ss := tinyStore([][3]dict.ID{{1, 10, 2}, {3, 10, 4}, {5, 11, 6}})
 	e := New(st, ss)
 	q := query.CQ{Head: []query.Arg{v("x"), v("y")}, Atoms: []query.Atom{{S: v("x"), P: c(10), O: v("y")}}}
-	r, err := e.EvalCQ([]string{"x", "y"}, q)
+	r, err := e.EvalCQ(context.Background(), []string{"x", "y"}, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +86,7 @@ func TestEvalRepeatedVariable(t *testing.T) {
 	st, ss := tinyStore([][3]dict.ID{{1, 10, 1}, {2, 10, 3}})
 	e := New(st, ss)
 	q := query.CQ{Head: []query.Arg{v("x")}, Atoms: []query.Atom{{S: v("x"), P: c(10), O: v("x")}}}
-	r, err := e.EvalCQ([]string{"x"}, q)
+	r, err := e.EvalCQ(context.Background(), []string{"x"}, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +107,7 @@ func TestEvalJoin(t *testing.T) {
 			{S: v("y"), P: c(11), O: v("z")},
 		},
 	}
-	r, err := e.EvalCQ([]string{"x", "z"}, q)
+	r, err := e.EvalCQ(context.Background(), []string{"x", "z"}, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +126,7 @@ func TestEvalCrossProduct(t *testing.T) {
 			{S: v("u"), P: c(11), O: v("w")},
 		},
 	}
-	r, err := e.EvalCQ([]string{"x", "u"}, q)
+	r, err := e.EvalCQ(context.Background(), []string{"x", "u"}, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +142,7 @@ func TestEvalConstantHead(t *testing.T) {
 		Head:  []query.Arg{v("x"), c(99)},
 		Atoms: []query.Atom{{S: v("x"), P: c(10), O: v("y")}},
 	}
-	r, err := e.EvalCQ([]string{"x", "u"}, q)
+	r, err := e.EvalCQ(context.Background(), []string{"x", "u"}, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +155,7 @@ func TestEvalBooleanQuery(t *testing.T) {
 	st, ss := tinyStore([][3]dict.ID{{1, 10, 2}})
 	e := New(st, ss)
 	q := query.CQ{Atoms: []query.Atom{{S: v("x"), P: c(10), O: v("y")}}}
-	r, err := e.EvalCQ(nil, q)
+	r, err := e.EvalCQ(context.Background(), nil, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +163,7 @@ func TestEvalBooleanQuery(t *testing.T) {
 		t.Fatalf("boolean true should give one empty row, got %d x %d", r.Len(), r.Width())
 	}
 	q2 := query.CQ{Atoms: []query.Atom{{S: v("x"), P: c(99), O: v("y")}}}
-	r2, err := e.EvalCQ(nil, q2)
+	r2, err := e.EvalCQ(context.Background(), nil, q2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +182,7 @@ func TestEvalUCQUnionDistinct(t *testing.T) {
 			{Head: []query.Arg{v("x")}, Atoms: []query.Atom{{S: v("x"), P: c(11), O: v("y")}}},
 		},
 	}
-	r, err := e.EvalUCQ(u)
+	r, err := e.EvalUCQ(context.Background(), u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +200,7 @@ func TestBudgetMaxRows(t *testing.T) {
 	e := New(st, ss)
 	e.Budget = Budget{MaxRows: 10}
 	q := query.CQ{Head: []query.Arg{v("x")}, Atoms: []query.Atom{{S: v("x"), P: c(200), O: v("y")}}}
-	_, err := e.EvalCQ([]string{"x"}, q)
+	_, err := e.EvalCQ(context.Background(), []string{"x"}, q)
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("want ErrBudgetExceeded, got %v", err)
 	}
@@ -176,52 +218,16 @@ func TestBudgetTimeout(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		cqs = append(cqs, query.CQ{Head: []query.Arg{v("x")}, Atoms: []query.Atom{{S: v("x"), P: c(200), O: v("y")}}})
 	}
-	_, err := e.EvalUCQ(query.UCQ{HeadNames: []string{"x"}, CQs: cqs})
+	_, err := e.EvalUCQ(context.Background(), query.UCQ{HeadNames: []string{"x"}, CQs: cqs})
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("want timeout, got %v", err)
-	}
-}
-
-func TestParallelUCQMatchesSerial(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	var ts [][3]dict.ID
-	for i := 0; i < 500; i++ {
-		ts = append(ts, [3]dict.ID{dict.ID(1 + r.Intn(40)), dict.ID(200 + r.Intn(4)), dict.ID(1 + r.Intn(40))})
-	}
-	st, ss := tinyStore(ts)
-	var cqs []query.CQ
-	for p := dict.ID(200); p < 204; p++ {
-		for q := dict.ID(200); q < 204; q++ {
-			cqs = append(cqs, query.CQ{
-				Head: []query.Arg{v("x"), v("z")},
-				Atoms: []query.Atom{
-					{S: v("x"), P: c(p), O: v("y")},
-					{S: v("y"), P: c(q), O: v("z")},
-				},
-			})
-		}
-	}
-	u := query.UCQ{HeadNames: []string{"x", "z"}, CQs: cqs}
-	serial := New(st, ss)
-	want, err := serial.EvalUCQ(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par := New(st, ss)
-	par.Parallel = true
-	got, err := par.EvalUCQ(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatalf("parallel %d rows != serial %d rows", got.Len(), want.Len())
 	}
 }
 
 func TestTraceRecordsOperators(t *testing.T) {
 	st, ss := tinyStore([][3]dict.ID{{1, 10, 2}, {2, 11, 3}})
 	e := New(st, ss)
-	e.Trace = &Trace{}
+	root := traced(e)
 	q := query.CQ{
 		Head: []query.Arg{v("x")},
 		Atoms: []query.Atom{
@@ -229,11 +235,11 @@ func TestTraceRecordsOperators(t *testing.T) {
 			{S: v("y"), P: c(11), O: v("z")},
 		},
 	}
-	if _, err := e.EvalCQ([]string{"x"}, q); err != nil {
+	if _, err := e.EvalCQ(context.Background(), []string{"x"}, q); err != nil {
 		t.Fatal(err)
 	}
-	if len(e.Trace.Scans) == 0 || len(e.Trace.Joins) == 0 {
-		t.Fatalf("trace empty: %+v", e.Trace)
+	if ops := opNames(root); !hasOp(ops, "scan") || !(hasOp(ops, "inlj") || hasOp(ops, "hashjoin")) {
+		t.Fatalf("trace lacks a scan and a join: %v", ops)
 	}
 }
 
@@ -297,7 +303,7 @@ func TestEvalMatchesBruteForce(t *testing.T) {
 				{S: v("z"), P: c(p3), O: v("w")},
 			},
 		}
-		got, err := e.EvalCQ([]string{"x", "w"}, q)
+		got, err := e.EvalCQ(context.Background(), []string{"x", "w"}, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,7 +355,7 @@ func TestEvalJUCQ(t *testing.T) {
 		}},
 	}
 	j := query.JUCQ{HeadNames: []string{"x", "z"}, Fragments: []query.Fragment{f1, f2}}
-	r, err := e.EvalJUCQ(j)
+	r, err := e.EvalJUCQ(context.Background(), j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,19 +367,19 @@ func TestEvalJUCQ(t *testing.T) {
 func TestEvalErrors(t *testing.T) {
 	st, ss := tinyStore([][3]dict.ID{{1, 10, 2}})
 	e := New(st, ss)
-	if _, err := e.EvalCQ(nil, query.CQ{}); err == nil {
+	if _, err := e.EvalCQ(context.Background(), nil, query.CQ{}); err == nil {
 		t.Fatal("empty body must error")
 	}
 	// Head variable missing from body.
 	q := query.CQ{Head: []query.Arg{v("missing")}, Atoms: []query.Atom{{S: v("x"), P: c(10), O: v("y")}}}
-	if _, err := e.EvalCQ([]string{"missing"}, q); err == nil {
+	if _, err := e.EvalCQ(context.Background(), []string{"missing"}, q); err == nil {
 		t.Fatal("unsafe head must error")
 	}
 	// Mismatched head name count.
-	if _, err := e.EvalCQ([]string{"a", "b"}, query.CQ{Head: []query.Arg{v("x")}, Atoms: []query.Atom{{S: v("x"), P: c(10), O: v("y")}}}); err == nil {
+	if _, err := e.EvalCQ(context.Background(), []string{"a", "b"}, query.CQ{Head: []query.Arg{v("x")}, Atoms: []query.Atom{{S: v("x"), P: c(10), O: v("y")}}}); err == nil {
 		t.Fatal("head arity mismatch must error")
 	}
-	if _, err := e.EvalJUCQ(query.JUCQ{}); err == nil {
+	if _, err := e.EvalJUCQ(context.Background(), query.JUCQ{}); err == nil {
 		t.Fatal("JUCQ without fragments must error")
 	}
 }
@@ -382,7 +388,7 @@ func TestEvalStreamBudget(t *testing.T) {
 	st, ss := tinyStore([][3]dict.ID{{1, 10, 2}})
 	e := New(st, ss)
 	e.Budget = Budget{MaxRows: 1000}
-	got, err := e.EvalUCQStream([]string{"x"}, func(fn func(query.CQ) bool) {
+	got, err := e.EvalUCQStream(context.Background(), []string{"x"}, func(fn func(query.CQ) bool) {
 		for i := 0; i < 5; i++ {
 			if !fn(query.CQ{Head: []query.Arg{v("x")}, Atoms: []query.Atom{{S: v("x"), P: c(10), O: v("y")}}}) {
 				return
@@ -415,7 +421,7 @@ ex:c ex:knows ex:a .
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := e.EvalCQ(query.HeadVarNames(q), q)
+	r, err := e.EvalCQ(context.Background(), query.HeadVarNames(q), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +467,7 @@ func TestEvalUCQWithProvenance(t *testing.T) {
 			{Head: []query.Arg{v("x")}, Atoms: []query.Atom{{S: v("x"), P: c(11), O: v("y")}}},
 		},
 	}
-	rows, prov, err := e.EvalUCQWithProvenance(u)
+	rows, prov, err := e.EvalUCQWithProvenance(context.Background(), u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +486,7 @@ func TestEvalUCQWithProvenance(t *testing.T) {
 		t.Fatalf("provenance of 3: %v", byVal[3])
 	}
 	// Provenance agrees with plain union evaluation.
-	plain, err := e.EvalUCQ(u)
+	plain, err := e.EvalUCQ(context.Background(), u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +503,7 @@ func TestEvalUCQWithProvenanceBoolean(t *testing.T) {
 		{Atoms: []query.Atom{{S: v("x"), P: c(99), O: v("y")}}},
 		{Atoms: []query.Atom{{S: v("x"), P: c(10), O: c(2)}}},
 	}}
-	rows, prov, err := e.EvalUCQWithProvenance(u)
+	rows, prov, err := e.EvalUCQWithProvenance(context.Background(), u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,37 +512,5 @@ func TestEvalUCQWithProvenanceBoolean(t *testing.T) {
 	}
 	if len(prov[0]) != 2 || prov[0][0] != 0 || prov[0][1] != 2 {
 		t.Fatalf("boolean provenance: %v", prov[0])
-	}
-}
-
-func TestEvalJUCQParallelMatchesSerial(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	var ts [][3]dict.ID
-	for i := 0; i < 400; i++ {
-		ts = append(ts, [3]dict.ID{dict.ID(1 + r.Intn(30)), dict.ID(200 + r.Intn(3)), dict.ID(1 + r.Intn(30))})
-	}
-	st, ss := tinyStore(ts)
-	mkFrag := func(p dict.ID, a, b string) query.Fragment {
-		return query.Fragment{UCQ: query.UCQ{HeadNames: []string{a, b}, CQs: []query.CQ{
-			{Head: []query.Arg{v(a), v(b)}, Atoms: []query.Atom{{S: v(a), P: c(p), O: v(b)}}},
-		}}}
-	}
-	j := query.JUCQ{
-		HeadNames: []string{"x", "z"},
-		Fragments: []query.Fragment{mkFrag(200, "x", "y"), mkFrag(201, "y", "z"), mkFrag(202, "x", "w")},
-	}
-	serial := New(st, ss)
-	want, err := serial.EvalJUCQ(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par := New(st, ss)
-	par.Parallel = true
-	got, err := par.EvalJUCQ(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatalf("parallel JUCQ %d rows != serial %d rows", got.Len(), want.Len())
 	}
 }

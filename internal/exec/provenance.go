@@ -12,13 +12,8 @@ import (
 // the demo-style explanation of *why* an implicit answer exists (each
 // non-identity member corresponds to a chain of constraint applications).
 // provenance[i] lists the 0-based indexes into u.CQs for row i of the
-// result, in ascending order.
-func (e *Evaluator) EvalUCQWithProvenance(u query.UCQ) (*Relation, [][]int, error) {
-	return e.EvalUCQWithProvenanceContext(context.Background(), u)
-}
-
-// EvalUCQWithProvenanceContext is EvalUCQWithProvenance bounded by ctx.
-func (e *Evaluator) EvalUCQWithProvenanceContext(ctx context.Context, u query.UCQ) (*Relation, [][]int, error) {
+// result, in ascending order. Canceling ctx aborts the evaluation.
+func (e *Evaluator) EvalUCQWithProvenance(ctx context.Context, u query.UCQ) (*Relation, [][]int, error) {
 	out := NewRelation(u.HeadNames)
 	var provenance [][]int
 	seen := map[string]int{} // row key -> row index in out

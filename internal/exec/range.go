@@ -21,14 +21,9 @@ import (
 // range atoms across the union's CQs share one scan via a per-evaluation
 // memo.
 
-// EvalRangeUCQ evaluates a union of range CQs with set semantics.
-func (e *Evaluator) EvalRangeUCQ(u query.RangeUCQ) (*Relation, error) {
-	return e.EvalRangeUCQContext(context.Background(), u)
-}
-
-// EvalRangeUCQContext is EvalRangeUCQ bounded by ctx; the whole union
-// shares one deadline and one cancellation signal.
-func (e *Evaluator) EvalRangeUCQContext(ctx context.Context, u query.RangeUCQ) (*Relation, error) {
+// EvalRangeUCQ evaluates a union of range CQs with set semantics, bounded
+// by ctx; the whole union shares one deadline and one cancellation signal.
+func (e *Evaluator) EvalRangeUCQ(ctx context.Context, u query.RangeUCQ) (*Relation, error) {
 	if len(u.CQs) == 0 {
 		return NewRelation(u.HeadNames), nil
 	}
@@ -59,9 +54,6 @@ func (e *Evaluator) EvalRangeUCQContext(ctx context.Context, u query.RangeUCQ) (
 			return nil, err
 		}
 		done++
-		if e.Trace != nil {
-			e.Trace.CQs++
-		}
 		if err := appendRelation(out, r, g.err); err != nil {
 			return nil, err
 		}
@@ -495,9 +487,13 @@ func (e *Evaluator) scanRangeAtom(a query.RangeAtom, g guard, sp *trace.Span, me
 		})
 		return stopErr
 	}
+	atom := ""
+	if sp != nil {
+		atom = query.FormatRangeAtom(a)
+	}
 	var rel *Relation
 	if sh := e.scatterSource(); sh != nil && pat.S == nil {
-		r, err := e.scatterScan(sh, "rangescan", query.FormatRangeAtom(a), vars, g, sp, -1, scan)
+		r, err := e.scatterScan(sh, "rangescan", atom, vars, g, sp, -1, scan)
 		if err != nil {
 			return nil, err
 		}
@@ -507,7 +503,7 @@ func (e *Evaluator) scanRangeAtom(a query.RangeAtom, g guard, sp *trace.Span, me
 		if sp != nil {
 			ssp = sp.Child("rangescan")
 			defer ssp.End()
-			ssp.SetStr("atom", query.FormatRangeAtom(a))
+			ssp.SetStr("atom", atom)
 		}
 		rel = NewRelation(vars)
 		if err := scan(e.st, rel); err != nil {
@@ -518,9 +514,6 @@ func (e *Evaluator) scanRangeAtom(a query.RangeAtom, g guard, sp *trace.Span, me
 			ssp.SetInt("rows", int64(rel.Len()))
 			ssp.End()
 		}
-	}
-	if e.Trace != nil {
-		e.Trace.Scans = append(e.Trace.Scans, ScanInfo{Atom: query.FormatRangeAtom(a), Rows: rel.Len()})
 	}
 	canonical := make([]string, len(vars))
 	for i := range canonical {

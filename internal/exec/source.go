@@ -54,12 +54,11 @@ type ShardedSource interface {
 }
 
 // scatterSource returns the evaluator's source as a sharded source when
-// scatter-gather applies: more than one shard and no legacy trace (the
-// Trace slices are not mutex-protected, so traced runs stay sequential —
-// the Source interface still answers them correctly, shard by shard).
+// scatter-gather applies (more than one shard). Scatter is the executor's
+// only fan-out: a traced evaluation scatters exactly like an untraced one.
 func (e *Evaluator) scatterSource() ShardedSource {
 	sh, ok := e.st.(ShardedSource)
-	if !ok || sh.NumShards() < 2 || e.Trace != nil {
+	if !ok || sh.NumShards() < 2 {
 		return nil
 	}
 	return sh
@@ -83,8 +82,9 @@ func (e *Evaluator) shardWorkers(n int) int {
 }
 
 // shardSub returns a sub-evaluator over one shard, planning with that
-// shard's own statistics. Parallel is left off: the scatter already owns
-// the fan-out, and nested parallelism would overrun the admitted weight.
+// shard's own statistics. A shard is a single store, so the sub-evaluator
+// never scatters again: the outer scatter owns the whole fan-out and
+// stays within the admitted weight.
 func (e *Evaluator) shardSub(sh ShardedSource, i int) *Evaluator {
 	return &Evaluator{
 		st:             sh.Shard(i),

@@ -2,9 +2,8 @@ package graph
 
 import (
 	"bytes"
-	"encoding/gob"
+	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/dict"
-	"repro/internal/rdf"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -98,77 +96,47 @@ func TestSnapshotRejectsTruncation(t *testing.T) {
 	}
 }
 
-// writeSnapshotV1 emits the legacy gob format, preserved here so the
-// read-compat and truncation-hardening tests can exercise the v1 path
-// without an archived fixture.
-func writeSnapshotV1(g *Graph, w io.Writer) error {
-	if _, err := io.WriteString(w, snapshotMagicV1); err != nil {
-		return err
-	}
-	snap := snapshot{
-		Data:       g.data,
-		Schema:     g.schema.Triples(),
-		Classes:    g.schema.Classes(),
-		Properties: g.schema.Properties(),
-	}
-	snap.Terms = make([]rdf.Term, g.d.Len())
-	for i := range snap.Terms {
-		snap.Terms[i] = g.d.Decode(dict.ID(i + 1))
-	}
-	return gob.NewEncoder(w).Encode(&snap)
-}
-
-// TestSnapshotV1ReadCompat: snapshots written by the pre-columnar format
-// must keep loading, ID-identically.
-func TestSnapshotV1ReadCompat(t *testing.T) {
-	g, err := ParseString(sample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := writeSnapshotV1(g, &buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("v1 snapshot unreadable: %v", err)
-	}
-	a, b := g.AllTriples(), back.AllTriples()
-	if len(a) != len(b) {
-		t.Fatalf("triple counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("triple %d: %v != %v", i, a[i], b[i])
+// A stream in the retired v1 gob format fails with the named error that
+// tells the user how to convert it, not a generic bad-magic error.
+func TestSnapshotV1Rejected(t *testing.T) {
+	for _, c := range []string{
+		snapshotMagicV1,
+		snapshotMagicV1 + "\x1b\xff\x81\x03\x01\x01\x08snapshot",
+	} {
+		_, err := ReadSnapshot(strings.NewReader(c))
+		if !errors.Is(err, ErrSnapshotV1) {
+			t.Fatalf("v1 stream: want ErrSnapshotV1, got %v", err)
 		}
+		if !strings.Contains(err.Error(), "previous release") {
+			t.Fatalf("v1 error must say how to convert: %v", err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "old.snap")
+	if err := os.WriteFile(path, []byte(snapshotMagicV1+"payload"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSnapshot(path); !errors.Is(err, ErrSnapshotV1) {
+		t.Fatalf("LoadSnapshot of a v1 file: want ErrSnapshotV1, got %v", err)
 	}
 }
 
 // TestSnapshotRejectsTruncationExhaustive cuts a valid snapshot at every
-// byte offset, in both formats. A partially copied snapshot file must
-// never load as a smaller graph — short reads are hard errors everywhere,
-// including a clean EOF right after the magic or between gob messages
-// (the paths where the v1 decoder's bare io.EOF used to look like a
-// normal end of stream).
+// byte offset. A partially copied snapshot file must never load as a
+// smaller graph — short reads are hard errors everywhere, including a
+// clean EOF right after the magic.
 func TestSnapshotRejectsTruncationExhaustive(t *testing.T) {
 	g, err := ParseString(sample)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v2 bytes.Buffer
-	if err := g.WriteSnapshot(&v2); err != nil {
+	var buf bytes.Buffer
+	if err := g.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var v1 bytes.Buffer
-	if err := writeSnapshotV1(g, &v1); err != nil {
-		t.Fatal(err)
-	}
-	for name, full := range map[string][]byte{"v1": v1.Bytes(), "v2": v2.Bytes()} {
-		for cut := 0; cut < len(full); cut++ {
-			if _, err := ReadSnapshot(bytes.NewReader(full[:cut])); err == nil {
-				t.Fatalf("%s: truncation at %d of %d bytes loaded without error",
-					name, cut, len(full))
-			}
+	full := buf.Bytes()
+	for cut := 0; cut < len(full); cut++ {
+		if _, err := ReadSnapshot(bytes.NewReader(full[:cut])); err == nil {
+			t.Fatalf("truncation at %d of %d bytes loaded without error", cut, len(full))
 		}
 	}
 }

@@ -967,7 +967,7 @@ func (s *Server) serveExplain(w http.ResponseWriter, r *http.Request, v apiVersi
 	ev.Budget = exec.Budget{Timeout: s.Timeout}
 	ev.Metrics = s.metrics
 	ev.MaxParallel = tkt.Weight()
-	rows, err := ev.EvalJUCQContext(r.Context(), res.JUCQ)
+	rows, err := ev.EvalJUCQ(r.Context(), res.JUCQ)
 	if err != nil {
 		s.writeAnswerError(w, v, err)
 		return
